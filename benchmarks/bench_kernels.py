@@ -16,20 +16,37 @@ as a CI artifact.  Run directly::
 Equivalence (kernel results == reference results, bit-for-bit) is asserted
 on every method while measuring, so a speedup can never come from answering
 a different question.
+
+The ``maintenance`` section times index *maintenance* — ``apply_batch`` and
+each PMHL update stage — with the native ``label_row``/``shortcut_row``
+kernels against the pure-Python reference, on a freshly built and on a
+snapshot-loaded index, plus ``build_s``.  The reference side runs in a
+child process with ``REPRO_DISABLE_NATIVE_KERNELS=1``; both sides hash every
+label row and shortcut value they end with, and the hashes must match.  The
+gate is a ratio: every native label stage at least ``LABEL_STAGE_BAR`` times
+faster than the reference.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
+import os
 import platform
+import statistics
+import subprocess
+import sys
+import tempfile
 import time
 from typing import Dict, List, Tuple
 
 from repro.graph.generators import grid_road_network
+from repro.graph.updates import generate_update_batch
 from repro.kernels.native import native_kernel, native_kernel_error
 from repro.registry import create_index, get_spec
+from repro.store import load_index, save_index
 from repro.throughput.workload import sample_query_pairs
 
 #: All nine methods on quick-config construction parameters.
@@ -60,6 +77,112 @@ BATCH_QUERIES = 4000
 #: magnitude slower per query; smaller counts keep the run short.
 SLOW_METHODS = {"BiDijkstra": (60, 240), "DCH": (150, 600), "TOAIN": (150, 600),
                 "N-CH-P": (60, 240), "P-TD-P": (150, 600)}
+
+
+#: Maintenance workload: the served benchmark's index (PMHL, 4 partitions,
+#: seed 0, on ``grid_road_network(30, 30, seed=7)``) and its 10-edge batches.
+MAINT_GRID = 30
+MAINT_BATCHES = 16
+MAINT_VOLUME = 10
+#: Stages whose work is the top-down label recompute (``label_row``).
+LABEL_STAGES = ("partition_label_update", "overlay_label_update", "cross_boundary_update")
+LABEL_STAGE_BAR = 3.0
+
+
+def _maintenance_side() -> Dict[str, object]:
+    """PMHL build + batch timings on this process's kernel setting.
+
+    Per variant (``fresh``: as built; ``loaded``: through save/load_index),
+    the median over batches 2..N of ``apply_batch`` and of every stage, in
+    ms, and a hash of every label row and shortcut value at the end.
+    """
+    from repro.labeling.h2h import H2HLabels
+
+    side: Dict[str, object] = {"native": native_kernel() is not None}
+    snapshots = tempfile.TemporaryDirectory()  # loaded dicts read it lazily
+    for variant in ("fresh", "loaded"):
+        index = create_index(
+            get_spec("PMHL", num_partitions=4, seed=0),
+            grid_road_network(MAINT_GRID, MAINT_GRID, seed=7),
+        )
+        build_seconds = index.build()
+        if variant == "loaded":
+            save_index(index, snapshots.name)
+            index = load_index(snapshots.name)
+        totals: List[float] = []
+        stages: Dict[str, List[float]] = {}
+        for seed in range(MAINT_BATCHES):
+            batch = generate_update_batch(index.graph, MAINT_VOLUME, seed=100 + seed)
+            start = time.perf_counter()
+            report = index.apply_batch(batch)
+            if seed == 0:
+                continue  # the first batch also pays one-off loads and freezes
+            totals.append(time.perf_counter() - start)
+            for stage in report.stages:
+                stages.setdefault(stage.name, []).append(stage.seconds)
+        digest = hashlib.sha256()
+        labels = [index.cross_labels, index.overlay.labels]
+        labels += index.family.labels + index.extended_family.labels
+        for lab in labels:
+            assert isinstance(lab, H2HLabels)
+            for v in sorted(lab.dis):
+                digest.update(repr((v, [x.hex() for x in lab.dis[v]], lab.pos[v])).encode())
+        contractions = [index.overlay.contraction]
+        contractions += index.family.contractions + index.extended_family.contractions
+        for contraction in contractions:
+            for v in contraction.order:
+                row = contraction.shortcuts[v]
+                digest.update(repr((v, [(u, row[u].hex()) for u in contraction.neighbors[v]])).encode())
+        side[variant] = {
+            "build_s": build_seconds,
+            "apply_batch_ms": 1e3 * statistics.median(totals),
+            "stage_ms": {name: 1e3 * statistics.median(times) for name, times in stages.items()},
+            "digest": digest.hexdigest(),
+        }
+    snapshots.cleanup()
+    return side
+
+
+def run_maintenance() -> Dict[str, object]:
+    """Native vs reference maintenance rows, hashes checked, ratio-gated."""
+    native_side = _maintenance_side()
+    env = dict(os.environ, REPRO_DISABLE_NATIVE_KERNELS="1")
+    child = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--maintenance-side"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    pure_side = json.loads(child.stdout.strip().splitlines()[-1])
+    assert not pure_side["native"]
+    section: Dict[str, object] = {
+        "workload": {"method": "PMHL", "num_partitions": 4, "grid": MAINT_GRID,
+                     "graph_seed": 7, "batches": MAINT_BATCHES,
+                     "volume": MAINT_VOLUME, "statistic": "median of batches 2..N"},
+        "native_available": native_side["native"],
+        "label_stage_bar": LABEL_STAGE_BAR,
+    }
+    for variant in ("fresh", "loaded"):
+        fast, pure = native_side[variant], pure_side[variant]
+        assert fast["digest"] == pure["digest"], f"{variant}: native and reference indexes differ"
+        rows = {"build_s": (fast["build_s"], pure["build_s"]),
+                "apply_batch_ms": (fast["apply_batch_ms"], pure["apply_batch_ms"])}
+        for name in fast["stage_ms"]:
+            rows[f"stage.{name}_ms"] = (fast["stage_ms"][name], pure["stage_ms"][name])
+        section[variant] = {
+            name: {"native": a, "pure": b, "speedup": b / a if a > 0 else math.inf}
+            for name, (a, b) in rows.items()
+        }
+        print(f"maintenance ({variant}):")
+        for name, row in section[variant].items():
+            print(f"  {name:>38}: {row['pure']:9.3f} -> {row['native']:9.3f}  "
+                  f"({row['speedup']:5.1f}x)")
+        if native_side["native"]:
+            for stage in LABEL_STAGES:
+                speedup = section[variant][f"stage.{stage}_ms"]["speedup"]
+                assert speedup >= LABEL_STAGE_BAR, (
+                    f"{variant} {stage}: native only {speedup:.1f}x the reference "
+                    f"(bar {LABEL_STAGE_BAR}x)"
+                )
+    return section
 
 
 def _measure(index, pairs: List[Tuple[int, int]], scalar_n: int) -> Dict[str, object]:
@@ -138,6 +261,7 @@ def run(out_path: str) -> Dict[str, object]:
         )
 
     report["families"] = _family_rows(report["methods"])
+    report["maintenance"] = run_maintenance()
     for family, row in report["families"].items():
         print(
             f"{family:>10}: scalar min {row['scalar_speedup_min']:.1f}x "
@@ -172,7 +296,13 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_kernels.json",
                         help="output JSON path (default: BENCH_kernels.json)")
+    parser.add_argument("--maintenance-side", action="store_true",
+                        help="print one process's maintenance timings as JSON "
+                             "(the reference half of the maintenance rows)")
     args = parser.parse_args()
+    if args.maintenance_side:
+        print(json.dumps(_maintenance_side()))
+        return
     run(args.out)
 
 

@@ -52,6 +52,20 @@ def _pick_context(name: Optional[str] = None):
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
+def _worker_entry(inherited, *args) -> None:
+    """Child entry point: drop inherited dispatcher-side pipe ends, then serve.
+
+    Under ``fork`` the child inherits the dispatcher's end of its own pipe
+    and of every earlier worker's.  While any process holds a dispatcher
+    end, ``recv()`` on the worker end never sees EOF — so a worker would
+    outlive a killed dispatcher forever.  Closing them here leaves the
+    dispatcher process as the only holder.
+    """
+    for conn in inherited:
+        conn.close()
+    worker_main(*args)
+
+
 class WorkerHandle:
     """One live worker process plus its dispatcher-side pipe end."""
 
@@ -151,9 +165,16 @@ class Dispatcher:
     # ------------------------------------------------------------------
     def _spawn(self, worker_id: int) -> WorkerHandle:
         parent_conn, child_conn = self._ctx.Pipe()
+        # Only a forked child inherits these; ``spawn`` would pickle copies.
+        inherited = (
+            [parent_conn] + [handle.conn for handle in self._handles.values()]
+            if self._ctx.get_start_method() == "fork"
+            else []
+        )
         process = self._ctx.Process(
-            target=worker_main,
+            target=_worker_entry,
             args=(
+                inherited,
                 child_conn,
                 worker_id,
                 self.base_snapshot,

@@ -40,6 +40,22 @@
  * directly over the owning store's arena -- including mmap-backed arenas
  * shared across repro.cluster shard processes.
  *
+ * Two capsule-free maintenance kernels run the per-vertex inner loops of
+ * DH2H-style index maintenance directly over the live Python structures:
+ *
+ *   label_row     -- H2HLabels.recompute_vertex (top-down label phase),
+ *   shortcut_row  -- the per-vertex loop of update_shortcuts_bottom_up
+ *                    (recompute_shortcut for every X(v).N entry).
+ *
+ *    Both are literal ports: the same float64 additions in the same order
+ *    and the same strict-less-than min, so every label and shortcut they
+ *    write is bit-identical to the Python reference.  They read the dicts
+ *    with PyDict_GetItem, which bypasses Python-level __getitem__ -- a
+ *    repro.store LazyDict that has not loaded yet would look empty to it.
+ *    Every dict argument is therefore checked to be *materialised*: an
+ *    exact dict, or a subclass whose item reads are dict's own (what a
+ *    LazyDict becomes once loaded).  Anything else raises TypeError.
+ *
  * No function releases the GIL; concurrent Python threads therefore
  * serialize around the shared per-capsule scratch space by construction.
  */
@@ -818,6 +834,417 @@ static PyObject *search_one_to_many(PyObject *self, PyObject *const *args,
     Py_RETURN_NONE;
 }
 
+/* ------------------------------------------------------------------ */
+/* Maintenance kernels (label_row / shortcut_row)                     */
+/* ------------------------------------------------------------------ */
+
+/* A dict the kernels may read with PyDict_GetItem: an exact dict, or a
+ * subclass whose __getitem__ is dict's own.  (A heap subclass always gets
+ * the generic mp_subscript slot, so the check is on the looked-up method.)
+ * A LazyDict that has not materialised overrides __getitem__, so it is
+ * refused here instead of being read as the empty dict it still is
+ * underneath. */
+static int require_plain_dict(PyObject *obj, const char *name) {
+    if (PyDict_CheckExact(obj)) {
+        return 0;
+    }
+    if (PyDict_Check(obj)) {
+        static PyObject *getitem_name = NULL;
+        if (getitem_name == NULL) {
+            getitem_name = PyUnicode_InternFromString("__getitem__");
+            if (getitem_name == NULL) {
+                return -1;
+            }
+        }
+        PyObject *own = _PyType_Lookup(Py_TYPE(obj), getitem_name);
+        if (own != NULL && own == _PyType_Lookup(&PyDict_Type, getitem_name)) {
+            return 0;
+        }
+    }
+    PyErr_Format(PyExc_TypeError,
+                 "%s must be a materialised dict, not %.100s", name,
+                 Py_TYPE(obj)->tp_name);
+    return -1;
+}
+
+/* Vertex ids must be exact ints: their hash/compare run no Python code, so
+ * the borrowed references held across lookups stay valid. */
+static int require_vertex(PyObject *obj, const char *name) {
+    if (PyLong_CheckExact(obj)) {
+        return 0;
+    }
+    PyErr_Format(PyExc_TypeError, "%s must be an int vertex id, not %.100s", name,
+                 Py_TYPE(obj)->tp_name);
+    return -1;
+}
+
+static int require_list(PyObject *obj, const char *name) {
+    if (PyList_CheckExact(obj)) {
+        return 0;
+    }
+    PyErr_Format(PyExc_TypeError, "%s must be a list, not %.100s", name,
+                 Py_TYPE(obj)->tp_name);
+    return -1;
+}
+
+/* d[key] as a borrowed reference; KeyError (or the lookup's own error) when
+ * absent. */
+static PyObject *dict_item(PyObject *d, PyObject *key) {
+    PyObject *value = PyDict_GetItemWithError(d, key);
+    if (value == NULL && !PyErr_Occurred()) {
+        PyErr_SetObject(PyExc_KeyError, key);
+    }
+    return value;
+}
+
+/* The float64 value of an exact float; -1 with TypeError otherwise. */
+static int float_value(PyObject *obj, const char *name, double *out) {
+    if (!PyFloat_CheckExact(obj)) {
+        PyErr_Format(PyExc_TypeError, "%s must be a float, not %.100s", name,
+                     Py_TYPE(obj)->tp_name);
+        return -1;
+    }
+    *out = PyFloat_AS_DOUBLE(obj);
+    return 0;
+}
+
+/* d.get(key, inf) as a float64 (d already checked to be a plain dict). */
+static int dict_float_or_inf(PyObject *d, PyObject *key, const char *name,
+                             double *out) {
+    PyObject *value = PyDict_GetItemWithError(d, key);
+    if (value == NULL) {
+        if (PyErr_Occurred()) {
+            return -1;
+        }
+        *out = Py_HUGE_VAL;
+        return 0;
+    }
+    return float_value(value, name, out);
+}
+
+/* rows[i] as a float64 with an IndexError past the end (rows is a list). */
+static int row_float(PyObject *row, Py_ssize_t i, double *out) {
+    if (i < 0 || i >= PyList_GET_SIZE(row)) {
+        PyErr_SetString(PyExc_IndexError, "distance array index out of range");
+        return -1;
+    }
+    return float_value(PyList_GET_ITEM(row, i), "distance entry", out);
+}
+
+typedef struct {
+    Py_ssize_t depth;
+    double sc;
+    PyObject *row; /* owned dis[x]; NULL when never read (depth 0) */
+} LabelNeighbor;
+
+static void free_neighbors(LabelNeighbor *nb, Py_ssize_t k) {
+    for (Py_ssize_t i = 0; i < k; i++) {
+        Py_XDECREF(nb[i].row);
+    }
+    PyMem_Free(nb);
+}
+
+/* label_row(v, ancestors, depth, neighbors, shortcuts, dis, pos) -> changed
+ *
+ * H2HLabels.recompute_vertex in one call: with anc = ancestors[v] (m
+ * entries) and N = neighbors[v],
+ *
+ *   new[j] = min over x in N of shortcuts[v][x] + (dis[x][j] if depth[x] > j
+ *                                                  else dis[anc[j]][depth[x]])
+ *
+ * for j < m - 1 and new[m - 1] = 0.0; stores dis[v] = new and
+ * pos[v] = [depth[x] for x in N] + [m - 1], and returns whether new differs
+ * from the previous dis[v] (True when there was none) -- the test the
+ * top-down update prunes its descent with. */
+static PyObject *label_row(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
+    (void)self;
+    if (nargs != 7) {
+        PyErr_SetString(PyExc_TypeError,
+                        "label_row(v, ancestors, depth, neighbors, shortcuts, dis, "
+                        "pos) takes 7 arguments");
+        return NULL;
+    }
+    PyObject *v = args[0];
+    static const char *names[] = {"ancestors", "depth", "neighbors", "shortcuts",
+                                  "dis", "pos"};
+    if (require_vertex(v, "v") < 0) {
+        return NULL;
+    }
+    for (int i = 1; i < 7; i++) {
+        if (require_plain_dict(args[i], names[i - 1]) < 0) {
+            return NULL;
+        }
+    }
+    PyObject *depth = args[2], *dis = args[5], *pos = args[6];
+    PyObject *anc = dict_item(args[1], v);
+    if (anc == NULL || require_list(anc, "ancestors[v]") < 0) {
+        return NULL;
+    }
+    PyObject *nbrs = dict_item(args[3], v);
+    if (nbrs == NULL || require_list(nbrs, "neighbors[v]") < 0) {
+        return NULL;
+    }
+    PyObject *sc_v = dict_item(args[4], v);
+    if (sc_v == NULL || require_plain_dict(sc_v, "shortcuts[v]") < 0) {
+        return NULL;
+    }
+    Py_ssize_t m = PyList_GET_SIZE(anc);
+    Py_ssize_t k = PyList_GET_SIZE(nbrs);
+    if (m < 1) {
+        PyErr_SetString(PyExc_ValueError, "ancestors[v] must not be empty");
+        return NULL;
+    }
+    LabelNeighbor *nb = PyMem_Calloc(k > 0 ? (size_t)k : 1, sizeof(LabelNeighbor));
+    if (nb == NULL) {
+        return PyErr_NoMemory();
+    }
+    /* Both result lists are allocated before any borrowed read is held, so
+     * no collection can run between a lookup and its use. */
+    PyObject *anc_row = NULL, *old_row = NULL;
+    PyObject *new_row = PyList_New(m);
+    PyObject *pos_row = PyList_New(k + 1);
+    if (new_row == NULL || pos_row == NULL) {
+        goto fail;
+    }
+    Py_INCREF(anc);
+    /* Each neighbour's depth, shortcut value and row, fetched once. */
+    for (Py_ssize_t i = 0; i < k; i++) {
+        PyObject *x = PyList_GET_ITEM(nbrs, i);
+        if (require_vertex(x, "neighbors[v] entry") < 0) {
+            goto fail;
+        }
+        PyObject *dx = dict_item(depth, x);
+        if (dx == NULL) {
+            goto fail;
+        }
+        nb[i].depth = PyLong_AsSsize_t(dx);
+        if (nb[i].depth == -1 && PyErr_Occurred()) {
+            goto fail;
+        }
+        if (nb[i].depth < 0) {
+            PyErr_SetString(PyExc_ValueError, "tree depths must be non-negative");
+            goto fail;
+        }
+        PyObject *scx = dict_item(sc_v, x);
+        if (scx == NULL || float_value(scx, "shortcut", &nb[i].sc) < 0) {
+            goto fail;
+        }
+        if (m > 1 && nb[i].depth > 0) {
+            PyObject *row = dict_item(dis, x);
+            if (row == NULL || require_list(row, "dis[x]") < 0) {
+                goto fail;
+            }
+            Py_INCREF(row);
+            nb[i].row = row;
+        }
+    }
+    for (Py_ssize_t j = 0; j < m - 1; j++) {
+        Py_CLEAR(anc_row); /* dis[anc[j]], fetched on first use */
+        double best = Py_HUGE_VAL;
+        for (Py_ssize_t i = 0; i < k; i++) {
+            double d;
+            if (nb[i].depth > j) {
+                if (row_float(nb[i].row, j, &d) < 0) {
+                    goto fail;
+                }
+            } else {
+                if (anc_row == NULL) {
+                    PyObject *a = PyList_GET_ITEM(anc, j);
+                    if (require_vertex(a, "ancestors[v] entry") < 0) {
+                        goto fail;
+                    }
+                    PyObject *row = dict_item(dis, a);
+                    if (row == NULL || require_list(row, "dis[ancestor]") < 0) {
+                        goto fail;
+                    }
+                    Py_INCREF(row);
+                    anc_row = row;
+                }
+                if (row_float(anc_row, nb[i].depth, &d) < 0) {
+                    goto fail;
+                }
+            }
+            double candidate = nb[i].sc + d;
+            if (candidate < best) {
+                best = candidate;
+            }
+        }
+        PyObject *value = PyFloat_FromDouble(best);
+        if (value == NULL) {
+            goto fail;
+        }
+        PyList_SET_ITEM(new_row, j, value);
+    }
+    PyObject *zero = PyFloat_FromDouble(0.0);
+    if (zero == NULL) {
+        goto fail;
+    }
+    PyList_SET_ITEM(new_row, m - 1, zero);
+    for (Py_ssize_t i = 0; i <= k; i++) {
+        PyObject *p = PyLong_FromSsize_t(i < k ? nb[i].depth : m - 1);
+        if (p == NULL) {
+            goto fail;
+        }
+        PyList_SET_ITEM(pos_row, i, p);
+    }
+    old_row = PyDict_GetItemWithError(dis, v);
+    if (old_row == NULL && PyErr_Occurred()) {
+        goto fail;
+    }
+    Py_XINCREF(old_row);
+    int changed = old_row == NULL ? 1 : PyObject_RichCompareBool(old_row, new_row, Py_NE);
+    if (changed < 0 || PyDict_SetItem(dis, v, new_row) < 0 ||
+        PyDict_SetItem(pos, v, pos_row) < 0) {
+        goto fail;
+    }
+    Py_XDECREF(old_row);
+    Py_DECREF(new_row);
+    Py_DECREF(pos_row);
+    Py_XDECREF(anc_row);
+    Py_DECREF(anc);
+    free_neighbors(nb, k);
+    return PyBool_FromLong(changed);
+fail:
+    /* PyList_New slots not yet filled are NULL, which list dealloc skips. */
+    Py_XDECREF(old_row);
+    Py_XDECREF(new_row);
+    Py_XDECREF(pos_row);
+    Py_XDECREF(anc_row);
+    if (new_row != NULL && pos_row != NULL) {
+        Py_DECREF(anc);
+    }
+    free_neighbors(nb, k);
+    return NULL;
+}
+
+/* shortcut_row(v, neighbors, shortcuts, edges, supporters) -> changed list
+ *
+ * The per-vertex loop of update_shortcuts_bottom_up in one call: for every
+ * u in neighbors[v], in order,
+ *
+ *   value = edges.get(u, inf)
+ *   for x in supporters.get((min(v, u), max(v, u)), ()):
+ *       value = min(value, shortcuts[x].get(v, inf) + shortcuts[x].get(u, inf))
+ *
+ * (recompute_shortcut), and when value != shortcuts[v][u] it is stored and
+ * u appended to the returned list.  ``edges`` is v's adjacency row of the
+ * graph (neighbour -> current weight). */
+static PyObject *shortcut_row(PyObject *self, PyObject *const *args,
+                              Py_ssize_t nargs) {
+    (void)self;
+    if (nargs != 5) {
+        PyErr_SetString(PyExc_TypeError,
+                        "shortcut_row(v, neighbors, shortcuts, edges, supporters) "
+                        "takes 5 arguments");
+        return NULL;
+    }
+    PyObject *v = args[0];
+    static const char *names[] = {"neighbors", "shortcuts", "edges", "supporters"};
+    if (require_vertex(v, "v") < 0) {
+        return NULL;
+    }
+    for (int i = 1; i < 5; i++) {
+        if (require_plain_dict(args[i], names[i - 1]) < 0) {
+            return NULL;
+        }
+    }
+    PyObject *shortcuts = args[2], *edges = args[3], *supporters = args[4];
+    long long v_id = PyLong_AsLongLong(v);
+    if (v_id == -1 && PyErr_Occurred()) {
+        return NULL;
+    }
+    PyObject *nbrs = dict_item(args[1], v);
+    if (nbrs == NULL || require_list(nbrs, "neighbors[v]") < 0) {
+        return NULL;
+    }
+    PyObject *sc_v = dict_item(shortcuts, v);
+    if (sc_v == NULL || require_plain_dict(sc_v, "shortcuts[v]") < 0) {
+        return NULL;
+    }
+    PyObject *changed = PyList_New(0);
+    if (changed == NULL) {
+        return NULL;
+    }
+    /* Held across the loop: building each pair key allocates a tuple, and
+     * the collection that can trigger may run arbitrary finalizers. */
+    Py_INCREF(nbrs);
+    Py_INCREF(sc_v);
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(nbrs); i++) {
+        PyObject *u = PyList_GET_ITEM(nbrs, i);
+        if (require_vertex(u, "neighbors[v] entry") < 0) {
+            Py_CLEAR(changed);
+            break;
+        }
+        Py_INCREF(u);
+        long long u_id = PyLong_AsLongLong(u);
+        if (u_id == -1 && PyErr_Occurred()) {
+            goto fail_u;
+        }
+        double value;
+        if (dict_float_or_inf(edges, u, "edge weight", &value) < 0) {
+            goto fail_u;
+        }
+        PyObject *key = u_id < v_id ? PyTuple_Pack(2, u, v) : PyTuple_Pack(2, v, u);
+        if (key == NULL) {
+            goto fail_u;
+        }
+        PyObject *sups = PyDict_GetItemWithError(supporters, key);
+        Py_DECREF(key);
+        if (sups == NULL && PyErr_Occurred()) {
+            goto fail_u;
+        }
+        if (sups != NULL) {
+            if (require_list(sups, "supporters[pair]") < 0) {
+                goto fail_u;
+            }
+            Py_INCREF(sups);
+            for (Py_ssize_t s = 0; s < PyList_GET_SIZE(sups); s++) {
+                PyObject *x = PyList_GET_ITEM(sups, s);
+                PyObject *sc_x = NULL;
+                double a, b;
+                if (require_vertex(x, "supporter") < 0 ||
+                    (sc_x = dict_item(shortcuts, x)) == NULL ||
+                    require_plain_dict(sc_x, "shortcuts[x]") < 0 ||
+                    dict_float_or_inf(sc_x, v, "shortcut", &a) < 0 ||
+                    dict_float_or_inf(sc_x, u, "shortcut", &b) < 0) {
+                    Py_DECREF(sups);
+                    goto fail_u;
+                }
+                double candidate = a + b;
+                if (candidate < value) {
+                    value = candidate;
+                }
+            }
+            Py_DECREF(sups);
+        }
+        PyObject *current = dict_item(sc_v, u);
+        double old;
+        if (current == NULL || float_value(current, "shortcut", &old) < 0) {
+            goto fail_u;
+        }
+        if (value != old) {
+            PyObject *stored = PyFloat_FromDouble(value);
+            if (stored == NULL) {
+                goto fail_u;
+            }
+            int rc = PyDict_SetItem(sc_v, u, stored);
+            Py_DECREF(stored);
+            if (rc < 0 || PyList_Append(changed, u) < 0) {
+                goto fail_u;
+            }
+        }
+        Py_DECREF(u);
+        continue;
+    fail_u:
+        Py_DECREF(u);
+        Py_CLEAR(changed);
+        break;
+    }
+    Py_DECREF(nbrs);
+    Py_DECREF(sc_v);
+    return changed;
+}
+
 static PyMethodDef methods[] = {
     {"build", label_build, METH_VARARGS,
      "build(mask, comp, first, logs, tbl_flat, tbl_off, pos_indptr, pos_data, "
@@ -837,6 +1264,12 @@ static PyMethodDef methods[] = {
      "search_query_pairs(graph, s_rows, t_rows, out, ch_mode) -> None (fills out)"},
     {"search_one_to_many", (PyCFunction)search_one_to_many, METH_FASTCALL,
      "search_one_to_many(graph, rs, t_rows, out) -> None (truncated Dijkstra)"},
+    {"label_row", (PyCFunction)label_row, METH_FASTCALL,
+     "label_row(v, ancestors, depth, neighbors, shortcuts, dis, pos) -> whether "
+     "v's distance array changed (new arrays stored into dis and pos)"},
+    {"shortcut_row", (PyCFunction)shortcut_row, METH_FASTCALL,
+     "shortcut_row(v, neighbors, shortcuts, edges, supporters) -> neighbours "
+     "whose shortcut from v changed (stored into shortcuts[v])"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -182,6 +182,20 @@ def native_kernel():
     return _module
 
 
+def materialised(mapping):
+    """``mapping``, loaded: ready for the maintenance kernels' direct reads.
+
+    ``label_row``/``shortcut_row`` read dicts with ``PyDict_GetItem``, which
+    bypasses Python-level ``__getitem__``.  A snapshot-loaded
+    :class:`~repro.store.codec.LazyDict` that has not loaded yet is still an
+    *empty* dict underneath; the kernels refuse it with ``TypeError``, and
+    this read — any read loads it and hands it off to a plain dict — is
+    what makes it acceptable.
+    """
+    len(mapping)
+    return mapping
+
+
 def native_kernel_error() -> Optional[str]:
     """Why the native kernel is unavailable (``None`` when it loaded fine)."""
     native_kernel()

@@ -22,7 +22,7 @@ affected tree nodes, pruning untouched branches.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from dataclasses import dataclass
 
@@ -32,6 +32,7 @@ from repro.exceptions import IndexNotBuiltError, VertexNotFoundError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
 from repro.kernels.label_store import LabelStore
+from repro.kernels.native import materialised, native_kernel
 from repro.registry import IndexSpec, register_spec
 from repro.treedec.mde import ContractionResult, contract_graph, update_shortcuts_bottom_up
 from repro.treedec.tree import TreeDecomposition
@@ -60,16 +61,51 @@ class H2HLabels:
         index first and the partition indexes later).
         """
         allowed = set(vertices) if vertices is not None else None
+        update = self._row_update()
         for v in self.tree.top_down_order():
             if allowed is not None and v not in allowed:
                 continue
-            self.recompute_vertex(v)
+            update(v)
 
     def recompute_vertex(self, v: int) -> List[float]:
         """(Re)compute the distance array of ``v`` from its neighbours' arrays.
 
-        Returns the new distance array (also stored in ``self.dis``).
+        Returns the new distance array (also stored in ``self.dis``).  Runs
+        the native ``label_row`` kernel when it is available, else
+        :meth:`recompute_vertex_reference`; both give bit-identical rows.
         """
+        self._row_update()(v)
+        return self.dis[v]
+
+    def _row_update(self) -> Callable[[int], bool]:
+        """The per-vertex recompute for a run of calls.
+
+        ``update(v)`` recomputes and stores ``v``'s arrays and returns
+        whether its distance array changed.  The native kernel reads the
+        label, tree and shortcut dicts directly, so they are loaded
+        (:func:`~repro.kernels.native.materialised`) once here, not per
+        vertex.
+        """
+        kernel = native_kernel()
+        if kernel is None:
+            dis = self.dis
+            reference = self.recompute_vertex_reference
+            # The old row is read before the recompute replaces it.
+            return lambda v: dis.get(v) != reference(v)
+        tree = self.tree
+        args = (
+            tree.ancestors,
+            tree.depth,
+            tree.contraction.neighbors,
+            materialised(tree.contraction.shortcuts),
+            materialised(self.dis),
+            materialised(self.pos),
+        )
+        label_row = kernel.label_row
+        return lambda v: label_row(v, *args)
+
+    def recompute_vertex_reference(self, v: int) -> List[float]:
+        """Pure-Python :meth:`recompute_vertex`: the reference and fallback."""
         tree = self.tree
         anc = tree.ancestors[v]
         depth = tree.depth
@@ -176,15 +212,14 @@ class H2HLabels:
         changed: Set[int] = set()
         if not affected_set:
             return changed
+        update = self._row_update()
         for root in self.tree.branch_roots(sorted(affected_set)):
             stack = [(root, False)]
             while stack:
                 v, ancestor_changed = stack.pop()
                 vertex_changed = False
                 if ancestor_changed or v in affected_set:
-                    old = self.dis.get(v)
-                    new = self.recompute_vertex(v)
-                    if old != new:
+                    if update(v):
                         vertex_changed = True
                         changed.add(v)
                 flag = ancestor_changed or vertex_changed

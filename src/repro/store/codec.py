@@ -31,69 +31,94 @@ from repro.treedec.mde import ContractionResult
 from repro.treedec.tree import TreeDecomposition
 
 
-class LazyDict(dict):
-    """A dict whose contents are produced by ``loader`` on first read access.
+class LoadedDict(dict):
+    """A plain dict: what a :class:`LazyDict` becomes once it has loaded.
+
+    It overrides nothing, so every read runs at dict speed and C code may
+    read it with ``PyDict_GetItem``.  The slots only keep the layout equal
+    to ``LazyDict``'s, which is what lets the hand-off swap ``__class__``.
+    """
+
+    __slots__ = ("_loader", "_lock")
+
+
+def _materialise(lazy: "LazyDict") -> None:
+    # Warm-started serving runs queries on multiple threads; the first
+    # touches can race here.  The loader fills a *staging* dict under the
+    # lock (so its own writes don't re-enter these overrides) and
+    # ``_loader`` flips to None only after ``lazy`` holds the full contents
+    # — a thread seeing None on the fast path therefore always sees a
+    # completely materialised dict, never a partial one.  A module-level
+    # function rather than a method: a thread already inside a LazyDict
+    # method when another thread hands the instance off still finds it.
+    if lazy._loader is None:
+        return
+    with lazy._lock:
+        loader = lazy._loader
+        if loader is None:
+            return
+        staging: dict = {}
+        loader(staging)
+        dict.update(lazy, staging)
+        _hand_off(lazy)
+
+
+def _hand_off(lazy: "LazyDict") -> None:
+    """Stop intercepting: from here on the instance is a plain dict (lock held)."""
+    lazy._loader = None
+    lazy.__class__ = LoadedDict
+
+
+class LazyDict(LoadedDict):
+    """A dict whose contents are produced by ``loader`` on first access.
 
     Loading a snapshot materialises Python dict-of-list structures from flat
     arrays; for the structures only the *maintenance* paths read (supporter
     records, shortcut arrays, label dicts shadowed by a reattached kernel
     store) that conversion is deferred: the loader closure keeps the (mmap-
-    backed) arrays and runs once, on the first read, after which the instance
-    behaves as a plain dict.  Query-only warm starts therefore never pay for
-    the structures they never touch.
+    backed) arrays and runs once, on the first access.  Query-only warm
+    starts therefore never pay for the structures they never touch.
+
+    Once loaded the instance hands off: its class becomes
+    :class:`LoadedDict`, so later reads no longer pass through these
+    Python-level overrides.  Until then the underlying dict is *empty* —
+    code that bypasses the overrides (C's ``PyDict_GetItem``) must first
+    load it with any read, e.g. :func:`repro.kernels.native.materialised`.
     """
 
-    __slots__ = ("_loader", "_lock")
+    __slots__ = ()
 
     def __init__(self, loader):
         super().__init__()
         self._loader = loader
         self._lock = threading.Lock()
 
-    def _ensure(self) -> None:
-        # Warm-started serving runs queries on multiple threads; the first
-        # touches can race here.  The loader fills a *staging* dict under the
-        # lock (so its own writes don't re-enter these overrides) and
-        # ``_loader`` flips to None only after ``self`` holds the full
-        # contents — a thread seeing None on the fast path therefore always
-        # sees a completely materialised dict, never a partial one.
-        if self._loader is None:
-            return
-        with self._lock:
-            loader = self._loader
-            if loader is None:
-                return
-            staging: dict = {}
-            loader(staging)
-            dict.update(self, staging)
-            self._loader = None
-
     def __getitem__(self, key):
-        self._ensure()
+        _materialise(self)
         return dict.__getitem__(self, key)
 
     def __contains__(self, key):
-        self._ensure()
+        _materialise(self)
         return dict.__contains__(self, key)
 
     def __iter__(self):
-        self._ensure()
+        _materialise(self)
         return dict.__iter__(self)
 
     def __len__(self):
-        self._ensure()
+        _materialise(self)
         return dict.__len__(self)
 
     def __bool__(self):
-        self._ensure()
+        _materialise(self)
         return dict.__len__(self) > 0
 
     def __eq__(self, other):
-        self._ensure()
+        _materialise(self)
         return dict.__eq__(self, other)
 
     def __ne__(self, other):
-        self._ensure()
+        _materialise(self)
         return dict.__ne__(self, other)
 
     __hash__ = None
@@ -102,51 +127,54 @@ class LazyDict(dict):
     # silently overwrite it (no current maintenance path writes before
     # reading, but the guarantee should not depend on that).
     def __setitem__(self, key, value):
-        self._ensure()
+        _materialise(self)
         dict.__setitem__(self, key, value)
 
     def __delitem__(self, key):
-        self._ensure()
+        _materialise(self)
         dict.__delitem__(self, key)
 
     def setdefault(self, key, default=None):
-        self._ensure()
+        _materialise(self)
         return dict.setdefault(self, key, default)
 
     def pop(self, *args):
-        self._ensure()
+        _materialise(self)
         return dict.pop(self, *args)
 
     def popitem(self):
-        self._ensure()
+        _materialise(self)
         return dict.popitem(self)
 
     def update(self, *args, **kwargs):
-        self._ensure()
+        _materialise(self)
         dict.update(self, *args, **kwargs)
 
     def clear(self):
-        self._loader = None
-        dict.clear(self)
+        # Under the lock: a loader already running finishes first and its
+        # contents are then dropped; one not yet started never runs.
+        with self._lock:
+            dict.clear(self)
+            _hand_off(self)
 
     def copy(self):
-        self._ensure()
+        _materialise(self)
         return dict(self)
 
     def get(self, key, default=None):
-        self._ensure()
+        _materialise(self)
         return dict.get(self, key, default)
 
     def keys(self):
-        self._ensure()
+        _materialise(self)
         return dict.keys(self)
 
     def values(self):
-        self._ensure()
+        _materialise(self)
         return dict.values(self)
 
     def items(self):
-        self._ensure()
+        _materialise(self)
         return dict.items(self)
 
 

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import GraphError
 from repro.graph.graph import Graph
+from repro.kernels.native import materialised, native_kernel
 
 INF = math.inf
 
@@ -229,6 +230,22 @@ def recompute_shortcut(
     return value
 
 
+def recompute_shortcuts(result: ContractionResult, graph: Graph, v: int) -> List[int]:
+    """Recompute every shortcut ``sc(v, u)`` of ``v``; return the changed ``u``.
+
+    The pure-Python per-vertex step of :func:`update_shortcuts_bottom_up`
+    (the reference for the native ``shortcut_row`` kernel).
+    """
+    changed: List[int] = []
+    shortcuts_v = result.shortcuts[v]
+    for u in result.neighbors[v]:
+        new_value = recompute_shortcut(result, graph, v, u)
+        if new_value != shortcuts_v[u]:
+            shortcuts_v[u] = new_value
+            changed.append(u)
+    return changed
+
+
 def update_shortcuts_bottom_up(
     result: ContractionResult,
     graph: Graph,
@@ -290,36 +307,48 @@ def update_shortcuts_bottom_up(
     if not dirty:
         return changed_report
 
-    heap: List[Tuple[int, int]] = [(result.rank[v], v) for v in dirty]
+    rank = result.rank
+    heap: List[Tuple[int, int]] = [(rank[v], v) for v in dirty]
     heapq.heapify(heap)
     queued = set(dirty)
+
+    kernel = native_kernel()
+    if kernel is not None:
+        # One native call per dirty vertex; it reads the contraction's dicts
+        # directly, so load them first (see ``materialised``).
+        shortcut_row = kernel.shortcut_row
+        neighbors = result.neighbors
+        shortcuts = materialised(result.shortcuts)
+        supporters = materialised(result.supporters)
 
     while heap:
         _, v = heapq.heappop(heap)
         queued.discard(v)
-        changed_neighbors: List[int] = []
-        for u in result.neighbors[v]:
-            new_value = recompute_shortcut(result, graph, v, u)
-            if new_value != result.shortcuts[v][u]:
-                result.shortcuts[v][u] = new_value
-                changed_neighbors.append(u)
+        if kernel is None:
+            changed_neighbors = recompute_shortcuts(result, graph, v)
+        else:
+            edges = graph.neighbors(v) if graph.has_vertex(v) else {}
+            changed_neighbors = shortcut_row(v, neighbors, shortcuts, edges, supporters)
         if not changed_neighbors:
             continue
         changed_report[v] = changed_neighbors
         # Shortcut changes of v alter v's supporting contribution to pairs
         # (u, w) with u, w in X(v).N; mark the owners of the pairs involving a
         # changed neighbour as dirty.
+        # (``owner`` inlined: this loop runs once per changed pair.)
         nbr_list = result.neighbors[v]
         for u in changed_neighbors:
+            rank_u = rank[u]
             for w_vertex in nbr_list:
                 if w_vertex == u:
                     continue
-                owner = result.owner(u, w_vertex)
+                rank_w = rank[w_vertex]
+                owner, owner_rank = (u, rank_u) if rank_u < rank_w else (w_vertex, rank_w)
                 if restrict_to is not None and owner not in restrict_to:
                     if escaped_out is not None:
                         escaped_out.add(owner)
                     continue
                 if owner not in queued:
                     queued.add(owner)
-                    heapq.heappush(heap, (result.rank[owner], owner))
+                    heapq.heappush(heap, (owner_rank, owner))
     return changed_report

@@ -66,6 +66,27 @@ def update_batches(base_graph):
     return generate_update_stream(base_graph, 3, 10, seed=11)
 
 
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live (not exited, not zombie) process.
+
+    An orphan that exited stays a zombie until its new parent reaps it,
+    and ``os.kill(pid, 0)`` still succeeds on a zombie; read its state
+    from ``/proc`` where there is one.
+    """
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+    except OSError:
+        pass
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 def make_cluster(snapshot, tmp_path, **kwargs):
     kwargs.setdefault("num_workers", 2)
     kwargs.setdefault("publish_dir", str(tmp_path / "gens"))
@@ -381,6 +402,50 @@ class TestShutdown:
             cluster.apply_batch(update_batches[0])
         with pytest.raises(EngineStoppedError):
             cluster.publish_snapshot()
+
+    def test_killed_host_leaves_no_orphans(self, pmhl_snapshot):
+        """SIGKILL of the process holding the engine (no ``stop()`` runs):
+        every worker sees its pipe close and exits on its own."""
+        import select
+        import signal
+        import subprocess
+        import sys
+
+        script = (
+            "import sys, time\n"
+            "from repro.cluster import ClusterEngine\n"
+            "engine = ClusterEngine(sys.argv[1], num_workers=2)\n"
+            "engine.start()\n"
+            "pids = [p.pid for p in engine._dispatcher.processes()]\n"
+            "print(' '.join(map(str, pids)), flush=True)\n"
+            "time.sleep(120)\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        host = subprocess.Popen(
+            [sys.executable, "-c", script, pmhl_snapshot],
+            stdout=subprocess.PIPE, env=env, text=True,
+        )
+        try:
+            ready, _, _ = select.select([host.stdout], [], [], 60.0)
+            assert ready, "engine host never reported its workers"
+            pids = [int(pid) for pid in host.stdout.readline().split()]
+            assert len(pids) == 2
+            host.send_signal(signal.SIGKILL)
+            host.wait(10)
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and any(map(_running, pids)):
+                time.sleep(0.05)
+            survivors = [pid for pid in pids if _running(pid)]
+            for pid in survivors:  # don't leak them past a failing test
+                os.kill(pid, signal.SIGKILL)
+            assert survivors == []
+        finally:
+            if host.poll() is None:
+                host.kill()
+                host.wait(10)
+            host.stdout.close()
 
     def test_stop_kills_hung_worker(self, pmhl_snapshot, tmp_path):
         cluster = make_cluster(pmhl_snapshot, tmp_path)

@@ -485,6 +485,55 @@ class TestLazyDictConcurrency:
         assert errors == []
 
 
+class TestLazyDictHandOff:
+    def test_materialised_instance_reads_at_dict_speed(self):
+        """After its first read a LazyDict is a plain dict: no Python-level
+        override stays between a read and ``dict``'s own C implementation."""
+        from repro.store.codec import LazyDict, LoadedDict
+
+        lazy = LazyDict(lambda target: target.update({1: "a", 2: "b"}))
+        assert lazy[1] == "a"
+        assert type(lazy) is LoadedDict
+        for name in vars(LazyDict):
+            if callable(getattr(dict, name, None)):
+                assert getattr(type(lazy), name) is getattr(dict, name), name
+        assert dict(lazy) == {1: "a", 2: "b"}
+
+    def test_clear_racing_first_touch_leaves_it_empty(self):
+        """``clear()`` takes the loader's lock: whichever runs first, a loader
+        never refills a cleared dict."""
+        import threading
+        import time
+
+        from repro.store.codec import LazyDict, LoadedDict
+
+        loading = threading.Event()
+
+        def loader(target):
+            loading.set()
+            for i in range(200):
+                target[i] = i
+                time.sleep(0.0001)
+
+        for clear_first in (False, True):
+            loading.clear()
+            lazy = LazyDict(loader)
+            seen = []
+            if clear_first:
+                lazy.clear()
+                reader = threading.Thread(target=lambda: seen.append(len(lazy)))
+                reader.start()
+            else:
+                reader = threading.Thread(target=lambda: seen.append(lazy.get(5)))
+                reader.start()
+                assert loading.wait(5.0)
+                lazy.clear()
+            reader.join()
+            assert len(lazy) == 0 and dict(lazy) == {}
+            assert type(lazy) is LoadedDict
+            assert seen == ([0] if clear_first else [5])
+
+
 @pytest.mark.skipif(numpy is None, reason="npz payloads require numpy")
 class TestKernelReattachment:
     def test_stores_attached_without_refreeze(self, built_indexes, snapshot_dirs):
